@@ -274,9 +274,10 @@ def run_bookstore(
     )
 
 
-def _deploy_bookstore_ondemand_workload():
+def _deploy_bookstore_ondemand_workload(sharded: bool = False):
     config = RuntimeConfig.optimized(
         on_demand_recovery=True,
+        sharded_logging=sharded,
         checkpoint=CheckpointConfig(
             context_state_every_n_calls=2,
             process_checkpoint_every_n_saves=2,
@@ -284,6 +285,8 @@ def _deploy_bookstore_ondemand_workload():
         ),
     )
     runtime = PhoenixRuntime(config=config)
+    if sharded:
+        runtime.install_log_plan(SHARDED_SWEEP_SHARDS)
     app = deploy_bookstore(runtime=runtime)
     targets = {
         "store0": app.stores[0],
@@ -306,6 +309,23 @@ def run_bookstore_ondemand(
     return _run_phoenix(
         "bookstore-ondemand",
         _deploy_bookstore_ondemand_workload,
+        BOOKSTORE_STEPS,
+        specs,
+        record,
+    )
+
+
+def run_bookstore_ondemand_sharded(
+    specs: tuple[CrashSpec, ...] = (), record: bool = False
+) -> RunOutcome:
+    """The serial on-demand bookstore with ``sharded_logging`` on (the
+    sharded sweep's three-way split): the recovery barrier drains the
+    still-pending components as one clock lane per stream, so this
+    workload sweeps crashes inside and between on-demand lanes
+    (``recovery.shard.drained`` without a scheduler)."""
+    return _run_phoenix(
+        "bookstore-ondemand-sharded",
+        lambda: _deploy_bookstore_ondemand_workload(sharded=True),
         BOOKSTORE_STEPS,
         specs,
         record,
@@ -829,6 +849,7 @@ def run_queued(
 WORKLOADS = {
     "bookstore": run_bookstore,
     "bookstore-ondemand": run_bookstore_ondemand,
+    "bookstore-ondemand-sharded": run_bookstore_ondemand_sharded,
     "bookstore-concurrent": run_bookstore_concurrent,
     "bookstore-concurrent-ondemand": run_bookstore_concurrent_ondemand,
     "bookstore-concurrent-pipelined": run_bookstore_concurrent_pipelined,

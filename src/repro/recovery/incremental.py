@@ -24,6 +24,14 @@ instant restart and Lomet's performance-competitive logical recovery,
    the same watermark table, so lazy and background replay never
    double-apply, and scheduling stays seeded and byte-identical.
 
+4. **Barrier drain**: ``ensure_recovered`` replays whatever is still
+   pending (:meth:`PendingRecovery.drain_all`).  Outside a scheduler
+   session a sharded process drains as one clock lane per stream
+   (:meth:`PendingRecovery.drain_lanes`), starting at the barrier —
+   nothing replays in the background of a serial runtime — so the
+   drain takes as long as the largest remaining shard.  Eager sharded
+   recovery drains through the same lanes.
+
 The watermark table is the single coordination point: every component
 is ``PENDING`` (chain not applied), ``REPLAYING`` (owned by exactly one
 session), or ``RECOVERED`` (``applied_lsn`` = the last LSN of its chain
@@ -156,12 +164,6 @@ class PendingRecovery:
         mark = self.marks.get(context_id)
         return mark is None or mark.status == RECOVERED
 
-    def recovered_watermark(self, context_id: int) -> int:
-        """The last applied LSN of a component's chain (NO_LSN while its
-        replay has not completed)."""
-        mark = self.marks.get(context_id)
-        return NO_LSN if mark is None else mark.applied_lsn
-
     def start_lsns(self, stream: int = 0) -> list[int]:
         """Every not-yet-applied chain head on ``stream`` — log
         truncation must never reclaim these."""
@@ -180,11 +182,14 @@ class PendingRecovery:
             return None
         return scheduler
 
-    def _current_owner_key(self) -> int | None:
+    def _session(self):
+        """The scheduler session running now, or None: the serial
+        runtime, or the scheduler's driver outside any session."""
         scheduler = self._scheduler()
-        if scheduler is None:
-            return None
-        session = scheduler.current_session()
+        return None if scheduler is None else scheduler.current_session()
+
+    def _current_owner_key(self) -> int | None:
+        session = self._session()
         return None if session is None else session.index
 
     # ------------------------------------------------------------------
@@ -297,8 +302,12 @@ class PendingRecovery:
     # ------------------------------------------------------------------
     def drain_all(self) -> None:
         """Replay every remaining component now (workloads, benchmarks
-        and state capture need the fully recovered process)."""
+        and state capture need the fully recovered process).  Outside a
+        scheduler session a sharded process drains its streams as
+        parallel clock lanes (:meth:`drain_lanes`)."""
         process = self.process
+        if len(process.streams) > 1 and self._session() is None:
+            self.drain_lanes()
         while process.pending_recovery is self:
             mark = self._next_pending()
             if mark is not None:
@@ -310,19 +319,62 @@ class PendingRecovery:
             if not busy:
                 self._maybe_finish()
                 return
-            scheduler = self._scheduler()
-            if scheduler is None or scheduler.current_session() is None:
+            if self._session() is None:
                 raise RecoveryError(
                     "recovery marks stuck replaying with no scheduler "
                     "to wait on"
                 )
-            scheduler.block_until(
+            self.runtime.scheduler.block_until(
                 lambda: process.pending_recovery is not self
                 or not any(
                     m.status == REPLAYING for m in self.marks.values()
                 ),
                 tag=f"drain-all:{process.name}",
             )
+
+    def drain_lanes(self) -> None:
+        """Serial sharded drain: one clock *lane* per stream.
+
+        Each stream's still-PENDING components replay from the drain's
+        start time, in context order, followed by a force of the
+        stream; the clock then advances to the longest lane, so the
+        drain takes as long as the largest shard instead of the whole
+        log — the streams model independent disks draining in parallel.
+        Eager sharded recovery and the serial on-demand barrier both
+        drain here.  A crash inside a lane still leaves the clock at
+        the furthest lane end reached: time never runs backwards."""
+        process = self.process
+        runtime = self.runtime
+        name = process.name
+        groups: dict[int, list[int]] = {}
+        for context_id in sorted(self.marks):
+            groups.setdefault(
+                process.stream_index(context_id), []
+            ).append(context_id)
+        clock = runtime.clock
+        base = clock.now
+        lanes: list[float] = []
+        try:
+            for index in sorted(groups):
+                clock.rewind_to(base)
+                for context_id in groups[index]:
+                    mark = self.marks[context_id]
+                    if mark.status == PENDING:
+                        self._replay_component(mark)
+                stream = process.streams[index]
+                stream.log.force()
+                lanes.append(clock.now - base)
+                faultplane.site_hit(
+                    f"recovery.shard.drained:{stream.name}", name
+                )
+                runtime.sched_yield(f"recovery.shard:{name}")
+        except BaseException:
+            if lanes:
+                clock.advance_to(base + max(lanes))
+            raise
+        clock.rewind_to(base)
+        if lanes:
+            clock.advance(max(lanes))
 
     def _next_pending(self) -> ComponentWatermark | None:
         for context_id in sorted(self.marks):
@@ -337,16 +389,17 @@ class PendingRecovery:
     def spawn_workers(self) -> None:
         """Schedule the background drain as system sessions on the
         deterministic scheduler (no-op outside an active run: the
-        serial runtime drains lazily and via ensure_recovered)."""
-        scheduler = self._scheduler()
-        if scheduler is None or scheduler.current_session() is None:
+        serial runtime drains on first touch and at the
+        ``ensure_recovered`` barrier, in per-stream lanes when
+        sharded)."""
+        if self._session() is None:
             return
         count = min(
             self.process.config.recovery_drain_workers,
             self.pending_count(),
         )
         for __ in range(count):
-            scheduler.spawn(
+            self.runtime.scheduler.spawn(
                 self._drain_worker, name=f"drain-{self.process.name}"
             )
 
@@ -357,9 +410,9 @@ class PendingRecovery:
         watermark table, so the shards replay as independent parallel
         drains and lazy first-touch admission covers the window until
         the last drain retires the table."""
-        scheduler = self._scheduler()
-        if scheduler is None or scheduler.current_session() is None:
+        if self._session() is None:
             return
+        scheduler = self.runtime.scheduler
         process = self.process
         groups: dict[int, list[int]] = {}
         for context_id in self.marks:

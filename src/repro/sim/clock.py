@@ -52,13 +52,13 @@ class SimClock:
     def rewind_to(self, when_ms: float) -> float:
         """Reset the clock to an earlier absolute time.
 
-        Reserved for measurement harnesses that replay alternative
-        timelines from a common base — sharded recovery runs each
-        shard's replay as its own *lane* from the recovery start time
-        and then advances to the longest lane, so serial recovery time
-        models the shards draining in parallel.  Runtime code must
-        never call this; time as observed by the runtime only moves
-        forward.
+        Reserved for replaying alternative timelines from a common
+        base.  Its one caller is the serial sharded drain
+        (``PendingRecovery.drain_lanes``): each shard's replay runs as
+        its own *lane* from the drain's start time and the clock then
+        advances to the longest lane, so serial recovery time models
+        the shards draining in parallel.  Nothing else may call this;
+        time as observed by the runtime only moves forward.
         """
         if when_ms > self._now:
             raise InvariantViolationError(

@@ -32,6 +32,7 @@ def golden():
             "bookstore-concurrent",
             "bookstore-concurrent-pipelined",
             "bookstore-sharded",
+            "bookstore-ondemand-sharded",
         )
     }
 
@@ -280,6 +281,39 @@ class TestShardedCrashSchedules:
 
     def test_second_crash_at_pass2(self, golden):
         run_schedule(f"{self.FIRST}/recovery.pass2:bookstore-app@1", golden)
+
+
+class TestOnDemandLaneSchedules:
+    """Crash-during-recovery composites inside and between the clock
+    lanes of the serial on-demand drain (sharded logging, no
+    scheduler): the ``ensure_recovered`` barrier replays each stream's
+    still-pending components as its own lane.  A second crash there
+    must leave the lanes already drained applied exactly once and the
+    remaining ones pending for the next incarnation."""
+
+    FIRST = (
+        "bookstore-ondemand-sharded:log.force.before:"
+        "beta-bookstore-app@seller-tier@6"
+    )
+
+    def test_second_crash_inside_a_lane(self, golden):
+        run_schedule(
+            f"{self.FIRST}/recovery.lazy_replay.before:bookstore-app@5",
+            golden,
+        )
+
+    def test_second_crash_after_a_replay_inside_a_lane(self, golden):
+        run_schedule(
+            f"{self.FIRST}/recovery.lazy_replay.after:bookstore-app@4",
+            golden,
+        )
+
+    def test_second_crash_between_lanes(self, golden):
+        run_schedule(
+            f"{self.FIRST}/recovery.shard.drained:"
+            "beta-bookstore-app@store-tier@1",
+            golden,
+        )
 
 
 class TestShardedDeterminism:
