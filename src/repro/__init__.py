@@ -15,7 +15,7 @@ deterministic simulation substrate:
 * :mod:`repro.checkpoint` — context state records and process
   checkpoints (Section 4);
 * :mod:`repro.recovery` — crash injection, the per-machine recovery
-  service, and two-pass recovery;
+  service, and per-component replay recovery;
 * :mod:`repro.apps.bookstore` — the paper's online bookstore
   application (Section 5.5);
 * :mod:`repro.bench` — the experiment harness regenerating every table

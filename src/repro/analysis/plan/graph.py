@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model import ProgramModel
-from ..infer.costmodel import _RATIO, CostModel, Edge
+from ..infer.costmodel import CostModel, Edge
 from ..infer.engine import Engine
 
 
@@ -160,11 +160,6 @@ def _split_edge_cost(
     # persistent caller: msg-3 force + msg-4 record (client side),
     # msg-1 record + msg-2 force (server side)
     return (1, 1), (1, 1)
-
-
-def edge_ratio(category: str) -> float:
-    """TRC106's forces-per-event ratio for an edge category."""
-    return _RATIO[category]
 
 
 class _LocalCollector:

@@ -104,12 +104,6 @@ class LogPlan:
                 return entry
         return None
 
-    def budget_for(self, process: str, method: str) -> dict | None:
-        for entry in self.span_budgets:
-            if entry["process"] == process and entry["method"] == method:
-                return entry
-        return None
-
     # -- serialization -------------------------------------------------
     def dumps(self) -> str:
         return json.dumps(self.payload, sort_keys=True, indent=2) + "\n"

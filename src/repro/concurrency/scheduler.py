@@ -674,9 +674,6 @@ class DeterministicScheduler:
             if self._recovery_drivers.get(process) is session:
                 del self._recovery_drivers[process]
 
-    def recovery_driver(self, process: "AppProcess") -> Session | None:
-        return self._recovery_drivers.get(process)
-
     def is_recovery_driver(self, process: "AppProcess") -> bool:
         return (
             process in self._recovery_drivers

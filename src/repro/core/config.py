@@ -106,18 +106,17 @@ class RuntimeConfig:
     # byte-identical to group commit alone.
     pipelined_commit: bool = False
 
-    # On-demand recovery (extension; ROADMAP item 2, after Sauer &
-    # Härder's instant restart and Lomet's logical recovery): restart
-    # runs only the analysis pass (repair tail, re-mark, restore
-    # checkpointed state) and then admits new calls; each remaining
-    # context is replayed lazily on first access from its own frame
-    # chain in the per-component log index, while background drain
-    # workers (scheduled as deterministic sessions when the concurrent
-    # scheduler is active) replay the rest.  Off by default — eager
-    # two-pass recovery is the paper's Table 7 model and the benchmark
-    # tables are calibrated against it.
+    # On-demand recovery (extension; after Sauer & Härder's instant
+    # restart and Lomet's logical recovery).  Every restart is analysis
+    # (repair tail, re-mark, restore checkpointed state), then
+    # per-component chain replay from the per-component log index.
+    # Off, admission is held until the drain is done — the paper's
+    # Table 7 model, which the benchmark tables are calibrated against.
+    # On, the process admits new calls right after analysis: each
+    # remaining context is replayed lazily on first access, while
+    # background drain workers (deterministic sessions when the
+    # concurrent scheduler is active) replay the rest.
     on_demand_recovery: bool = False
-    recovery_drain_workers: int = 2
 
     # Sharded multi-log runtime (extension; ROADMAP item 1, the
     # executable half of the committed ``plans/apps.logplan.json``): a

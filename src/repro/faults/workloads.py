@@ -643,6 +643,23 @@ def run_bookstore_concurrent_pipelined(
     )
 
 
+def run_bookstore_concurrent_combo(
+    specs: tuple[CrashSpec, ...] = (), record: bool = False
+) -> RunOutcome:
+    """The concurrent bookstore with on-demand recovery, pipelined
+    commit and sharded logging all on: background drain workers replay
+    a sharded process whose commits gate on per-(session, stream)
+    watermarks — the three relaxations composed."""
+    return run_bookstore_concurrent(
+        specs,
+        record,
+        on_demand=True,
+        workload_name="bookstore-concurrent-combo",
+        pipelined=True,
+        sharded=True,
+    )
+
+
 # ----------------------------------------------------------------------
 # orderflow
 # ----------------------------------------------------------------------
@@ -853,6 +870,7 @@ WORKLOADS = {
     "bookstore-concurrent": run_bookstore_concurrent,
     "bookstore-concurrent-ondemand": run_bookstore_concurrent_ondemand,
     "bookstore-concurrent-pipelined": run_bookstore_concurrent_pipelined,
+    "bookstore-concurrent-combo": run_bookstore_concurrent_combo,
     "bookstore-sharded": run_bookstore_concurrent_sharded,
     "orderflow": run_orderflow,
     "queued": run_queued,

@@ -1,43 +1,50 @@
-"""On-demand, REDO-only, parallel recovery (extension; ROADMAP item 2).
+"""Per-component, REDO-only recovery: the one replay engine.
 
 The paper's recovery (Section 4.4, Table 7) is stop-the-world: a crashed
-process replays its whole log before admitting a single call, so
-time-to-first-reply grows with log size.  Following Sauer & Härder's
-instant restart and Lomet's performance-competitive logical recovery,
-``config.on_demand_recovery`` splits recovery into:
+process replays its whole log before admitting a single call.  Following
+Sauer & Härder's REDO-only instant restart and Lomet's
+performance-competitive logical recovery, every restart here is
+*analysis, then per-component chain replay*; eager recovery is that same
+replay with admission held until the drain is done.
 
-1. **Analysis + admission** (:meth:`RecoveryManager.recover`): repair
-   the tail, re-mark, seed the tables from the checkpoint, restore
-   state-record contexts, register a shell for every discovered
-   context — then leave RECOVERING.  New calls are admitted from here.
+1. **Analysis** (:meth:`RecoveryManager.recover`): repair each stream's
+   tail, re-mark, seed the tables from the checkpoint, restore
+   state-record contexts, register a shell for every discovered context
+   and build this module's :class:`PendingRecovery` watermark table.
 
-2. **Lazy replay**: the runtime consults this module's
-   :class:`PendingRecovery` watermark table before delivering a call;
-   a not-yet-recovered target component is replayed first, from its own
-   frame chain in the log manager's per-component index
-   (:meth:`LogManager.component_chains`), with the reply cache intact —
-   exactly pass 2 restricted to one component.
+2. **Per-component replay**: each component's not-yet-applied frame
+   chain comes from its stream's per-component index
+   (:meth:`LogManager.component_chains`) and is replayed with the reply
+   cache intact (:meth:`PendingRecovery._replay_component`).  Before
+   delivering any call the runtime consults the table
+   (:meth:`PendingRecovery.ensure_component`); an unapplied target is
+   replayed first, so duplicate detection finds the regenerated reply.
 
-3. **Background drain**: when the deterministic scheduler is active,
-   ``config.recovery_drain_workers`` system sessions are spawned to
-   replay the remaining components.  Workers claim components through
-   the same watermark table, so lazy and background replay never
-   double-apply, and scheduling stays seeded and byte-identical.
+3. **Drain**, by configuration:
 
-4. **Barrier drain**: ``ensure_recovered`` replays whatever is still
-   pending (:meth:`PendingRecovery.drain_all`).  Outside a scheduler
-   session a sharded process drains as one clock lane per stream
-   (:meth:`PendingRecovery.drain_lanes`), starting at the barrier —
-   nothing replays in the background of a serial runtime — so the
-   drain takes as long as the largest remaining shard.  Eager sharded
-   recovery drains through the same lanes.
+   * *eager* (the paper's model): the process stays RECOVERING while
+     :meth:`PendingRecovery.drain_all` replays every component — the
+     only calls delivered meanwhile are those a replay makes when it
+     goes live;
+   * *on-demand* (``config.on_demand_recovery``): the process leaves
+     RECOVERING right after analysis; under the deterministic scheduler
+     :data:`DRAIN_WORKERS` system sessions replay the rest in the
+     background, and ``ensure_recovered`` drains whatever is left;
+   * *sharded eager under a scheduler session*: one drain session per
+     stream replays that stream's shard, lazy first-touch admission
+     covering the window.
+
+   Outside a scheduler session a sharded process drains as one clock
+   lane per stream (:meth:`PendingRecovery.drain_lanes`), so the drain
+   takes as long as the largest remaining shard.
 
 The watermark table is the single coordination point: every component
 is ``PENDING`` (chain not applied), ``REPLAYING`` (owned by exactly one
 session), or ``RECOVERED`` (``applied_lsn`` = the last LSN of its chain
-that has been applied).  Admission decisions see a component's
-watermark, never a global RECOVERING flag.  When the last mark turns
-RECOVERED the table detaches itself from the process.
+that has been applied).  Lazy, foreground and background replay claim
+components through it, so none double-applies, and scheduling stays
+seeded and byte-identical.  When the last mark turns RECOVERED the
+table detaches itself from the process.
 """
 
 from __future__ import annotations
@@ -66,6 +73,10 @@ if TYPE_CHECKING:  # pragma: no cover
 PENDING = "pending"
 REPLAYING = "replaying"
 RECOVERED = "recovered"
+
+#: Background drain sessions spawned by on-demand recovery under the
+#: deterministic scheduler.
+DRAIN_WORKERS = 2
 
 _SKIP_KINDS = (
     BeginCheckpointRecord,
@@ -201,8 +212,7 @@ class PendingRecovery:
         so duplicate detection finds the regenerated reply.  Replays
         inline when the component is unclaimed; parks behind the owning
         session otherwise.  Re-entrant touches (the component's own
-        replay going live into itself) are a no-op, mirroring eager
-        recovery's ``drain_context``."""
+        replay going live into itself) are a no-op."""
         process = self.process
         mark = self.marks.get(context_id)
         if mark is None:
@@ -231,7 +241,7 @@ class PendingRecovery:
             )
 
     # ------------------------------------------------------------------
-    # per-component replay (pass 2 restricted to one frame chain)
+    # per-component replay (one frame chain)
     # ------------------------------------------------------------------
     def _replay_component(self, mark: ComponentWatermark) -> None:
         from .recovery_manager import RecoveryManager, _Pending
@@ -255,9 +265,7 @@ class PendingRecovery:
             if isinstance(record, CreationRecord):
                 if mark.restored:
                     continue
-                manager._pending[context_id] = _Pending(
-                    order=manager._next_order(), creation=record
-                )
+                manager._pending[context_id] = _Pending(creation=record)
             elif isinstance(record, LastCallReplyRecord):
                 if reply_floor != NO_LSN and lsn <= reply_floor:
                     continue  # the checkpoint's table already covers it
@@ -272,8 +280,7 @@ class PendingRecovery:
                 manager._scan_message(context_id, lsn, record)
         manager.drain_context(context_id)
         # Replay effects (regenerated records of live-continued calls)
-        # become stable before the component is declared recovered —
-        # the per-component equivalent of eager recovery's final force.
+        # become stable before the component is declared recovered.
         log.force()
         faultplane.site_hit(f"recovery.lazy_replay.after:{name}", name)
         mark.applied_lsn = mark.chain[-1] if mark.chain else mark.state_lsn
@@ -298,11 +305,12 @@ class PendingRecovery:
             process.pending_recovery = None
 
     # ------------------------------------------------------------------
-    # foreground drain (the full-recovery barrier)
+    # foreground drain (eager recovery, and the full-recovery barrier)
     # ------------------------------------------------------------------
     def drain_all(self) -> None:
-        """Replay every remaining component now (workloads, benchmarks
-        and state capture need the fully recovered process).  Outside a
+        """Replay every remaining component now: eager recovery's whole
+        replay, and the barrier workloads, benchmarks and state capture
+        use when they need the fully recovered process.  Outside a
         scheduler session a sharded process drains its streams as
         parallel clock lanes (:meth:`drain_lanes`)."""
         process = self.process
@@ -387,20 +395,22 @@ class PendingRecovery:
     # background drain workers
     # ------------------------------------------------------------------
     def spawn_workers(self) -> None:
-        """Schedule the background drain as system sessions on the
-        deterministic scheduler (no-op outside an active run: the
-        serial runtime drains on first touch and at the
-        ``ensure_recovered`` barrier, in per-stream lanes when
-        sharded)."""
+        """On-demand recovery: schedule :data:`DRAIN_WORKERS` system
+        sessions on the deterministic scheduler, each walking every
+        pending component (no-op outside an active run: the serial
+        runtime drains on first touch and at the ``ensure_recovered``
+        barrier, in per-stream lanes when sharded)."""
         if self._session() is None:
             return
-        count = min(
-            self.process.config.recovery_drain_workers,
-            self.pending_count(),
+        members = sorted(
+            context_id
+            for context_id, mark in self.marks.items()
+            if mark.status == PENDING
         )
-        for __ in range(count):
+        for __ in range(min(DRAIN_WORKERS, len(members))):
             self.runtime.scheduler.spawn(
-                self._drain_worker, name=f"drain-{self.process.name}"
+                lambda: self._drain_worker(members),
+                name=f"drain-{self.process.name}",
             )
 
     def spawn_shard_workers(self) -> None:
@@ -412,25 +422,27 @@ class PendingRecovery:
         the last drain retires the table."""
         if self._session() is None:
             return
-        scheduler = self.runtime.scheduler
         process = self.process
         groups: dict[int, list[int]] = {}
-        for context_id in self.marks:
+        for context_id in sorted(self.marks):
             if self.marks[context_id].status == RECOVERED:
                 continue
             groups.setdefault(
                 process.stream_index(context_id), []
             ).append(context_id)
         for stream in sorted(groups):
-            members = sorted(groups[stream])
-            scheduler.spawn(
-                lambda s=stream, m=members: self._drain_shard_worker(s, m),
+            self.runtime.scheduler.spawn(
+                lambda s=stream, m=groups[stream]: self._drain_worker(m, s),
                 name=f"shard-drain-{process.streams[stream].name}",
             )
 
-    def _drain_shard_worker(
-        self, stream: int, members: list[int]
+    def _drain_worker(
+        self, members: list[int], stream: int | None = None
     ) -> None:
+        """Replay ``members`` in order, skipping any component another
+        session has claimed.  A shard worker (``stream`` given) yields
+        after each replay and crosses its stream's ``shard.drained``
+        site when done."""
         process = self.process
         name = process.name
         # Hold a process frame for the whole drain: a replay's
@@ -438,25 +450,26 @@ class PendingRecovery:
         # with no boundary frame of its own, and a second crash while
         # parked must ghost the worker (stale CrashSignal on resume)
         # instead of letting it keep executing against the dead
-        # incarnation's retired table.  The trailing shard-drained site
-        # is a crash site too, so the whole drain shares one
-        # CrashSignal boundary.
+        # incarnation's retired table.  There is no process boundary
+        # above a worker, so it converts its own CrashSignal.
         scheduler = self._scheduler()
         pushed = scheduler is not None and scheduler.enter_process(process)
         try:
             for context_id in members:
                 if process.pending_recovery is not self:
                     return
-                mark = self.marks.get(context_id)
-                if mark is None or mark.status != PENDING:
+                mark = self.marks[context_id]
+                if mark.status != PENDING:
                     continue
                 faultplane.site_hit(f"recovery.drain_worker:{name}", name)
                 self._replay_component(mark)
-                self.runtime.sched_yield(f"recovery.shard:{name}")
-            faultplane.site_hit(
-                f"recovery.shard.drained:{process.streams[stream].name}",
-                name,
-            )
+                if stream is not None:
+                    self.runtime.sched_yield(f"recovery.shard:{name}")
+            if stream is not None:
+                faultplane.site_hit(
+                    f"recovery.shard.drained:{process.streams[stream].name}",
+                    name,
+                )
         except CrashSignal as signal:
             target = getattr(signal, "process", None)
             if target is not None and not getattr(signal, "stale", False):
@@ -464,25 +477,3 @@ class PendingRecovery:
         finally:
             if pushed:
                 scheduler.exit_process()
-
-    def _drain_worker(self) -> None:
-        process = self.process
-        name = process.name
-        while process.pending_recovery is self:
-            mark = self._next_pending()
-            if mark is None:
-                return
-            try:
-                faultplane.site_hit(f"recovery.drain_worker:{name}", name)
-                self._replay_component(mark)
-            except CrashSignal as signal:
-                # The replay crashed a process (a one-shot fault spec,
-                # or a cascade).  There is no process boundary above a
-                # worker to convert the signal; handle it here and let
-                # the table die with the crash.
-                target = getattr(signal, "process", None)
-                if target is not None and not getattr(
-                    signal, "stale", False
-                ):
-                    target.crash()
-                return

@@ -1,25 +1,27 @@
 """Recovery (paper Section 4.4 and Figure 5).
 
-Process-crash recovery runs two passes over the stable log:
+Process-crash recovery is analysis, then per-component chain replay:
 
-* **Pass 1** starts at the LSN in the well-known file (the last flushed
-  process checkpoint), or at the beginning of the log.  It finds every
-  context that existed at the crash, the latest state-record LSN (or
-  creation LSN) of each, and seeds the global tables from the
-  checkpoint's table records.  Contexts with state records are restored
-  right after this pass (ordinary fields applied, component references
-  resolved).
+* **Analysis** starts each log stream at the LSN in its well-known file
+  (stream 0: the last flushed process checkpoint), or at the beginning
+  of the log.  It finds every context that existed at the crash, the
+  latest state-record LSN (or creation LSN) of each, and seeds the
+  global tables from the checkpoint's table records.  Contexts with
+  state records are restored right after this pass (ordinary fields
+  applied, component references resolved); every other context gets a
+  shell from its creation record.
 
-* **Pass 2** scans from the minimum recovery-start LSN to the end,
-  buffering each context's message records until its next incoming call
-  record; the buffered previous call is then replayed with its outgoing
-  calls answered from the buffered replies.  After the scan, the
-  remaining buffered calls — the last incoming call of each context —
-  are replayed; if a reply to an outgoing call is missing from the log,
-  the call is not suppressed and normal execution begins (the log has
-  run dry).  Replay regenerates the last-call table; its replies are
-  never sent (condition 5) — the caller's retry fetches them via
-  duplicate detection.
+* **Replay** applies each context's frame chain — its records past the
+  restored state record, from the log manager's per-component index —
+  as one unit (:mod:`repro.recovery.incremental`): each buffered call is
+  replayed with its outgoing calls answered from the buffered replies.
+  If a reply to an outgoing call is missing from the log, the call is
+  not suppressed and normal execution begins (the log has run dry).
+  Replay regenerates the last-call table; its replies are never sent
+  (condition 5) — the caller's retry fetches them via duplicate
+  detection.  The paper's eager restart is this replay with admission
+  held until every context is drained; on-demand recovery admits calls
+  right after analysis and replays lazily.
 
 Context-crash recovery is the easy case at the bottom: restore the
 context's latest state record (or replay its creation) and replay only
@@ -39,15 +41,11 @@ from ..core.tables import ContextTableEntry, NO_LSN
 from ..errors import RecoveryError
 from ..faults import plane as faultplane
 from ..log.records import (
-    BeginCheckpointRecord,
     CheckpointContextTableRecord,
     CheckpointLastCallRecord,
     CheckpointRemoteTypeRecord,
     ContextStateRecord,
     CreationRecord,
-    EndCheckpointRecord,
-    LastCallReplyRecord,
-    LogRecord,
     MessageRecord,
 )
 
@@ -78,7 +76,6 @@ class _ContextDiscovery:
 class _Pending:
     """A buffered call awaiting replay (Figure 5)."""
 
-    order: int
     creation: CreationRecord | None = None
     message: MethodCallMessage | None = None
     replies: list[ReplyMessage] = field(default_factory=list)
@@ -92,19 +89,15 @@ class RecoveryManager:
         self.process = process
         self.runtime = process.runtime
         self._pending: dict[int, _Pending] = {}
-        self._order = 0
-        # Per-stream reply watermarks (pass 1's scan starts).  Reply
+        # Per-stream reply watermarks (the analysis scan starts).  Reply
         # records at or below a stream's watermark are already covered
-        # by the checkpoint's last-call table record, so pass 2 rebuilds
+        # by the checkpoint's last-call table record, so replay rebuilds
         # the reply cache only from the suffix past it — on
         # recover-twice (crash during recovery) the whole-tail re-decode
         # is gone.  Stream 0's watermark is the published checkpoint
         # LSN; extra streams default to NO_LSN (their scans start at
         # their own truncation point, so re-seeding is already bounded).
         self._reply_watermarks: dict[int, int] = {}
-
-    def _reply_floor(self, stream: int) -> int:
-        return self._reply_watermarks.get(stream, NO_LSN)
 
     # ------------------------------------------------------------------
     # top level
@@ -134,47 +127,27 @@ class RecoveryManager:
         # is running must leave a log from which a fresh recovery still
         # reaches the same state (crash-during-recovery cascades).
         faultplane.site_hit(f"recovery.start:{name}", name)
-        process.active_recovery = self
-
-        try:
-            discoveries = self._pass_one()
-            faultplane.site_hit(f"recovery.pass1:{name}", name)
-            self._restore_saved_contexts(discoveries)
-            faultplane.site_hit(f"recovery.restored:{name}", name)
-            if process.config.on_demand_recovery:
-                # Analysis is done: admit new calls now and replay each
-                # component lazily / in the background (incremental.py).
-                self._admit_on_demand(discoveries)
-            elif len(process.streams) > 1:
-                # Sharded eager recovery: each stream's shard replays as
-                # an independent drain (parallel sessions under the
-                # scheduler, per-shard clock lanes in the serial
-                # runtime), so recovery time scales with the largest
-                # shard instead of the whole log.
-                self._recover_shards(discoveries)
-            else:
-                self._pass_two(discoveries)
-                faultplane.site_hit(f"recovery.pass2:{name}", name)
-                self._drain_all()
-                faultplane.site_hit(f"recovery.drained:{name}", name)
-                # Make everything recovery produced (including effects
-                # of live-continued calls) stable before declaring the
-                # process recovered.
-                process.log.force()
-                faultplane.site_hit(f"recovery.done:{name}", name)
-        finally:
-            process.active_recovery = None
+        discoveries = self._pass_one()
+        faultplane.site_hit(f"recovery.pass1:{name}", name)
+        self._restore_saved_contexts(discoveries)
+        faultplane.site_hit(f"recovery.restored:{name}", name)
+        self._replay_discovered(discoveries)
         if process.context_table:
             process._next_component_lid = max(process.context_table) + 1
 
-    def _admit_on_demand(
+    def _replay_discovered(
         self, discoveries: dict[int, _ContextDiscovery]
     ) -> None:
-        """On-demand admission: register a shell for every discovered
-        context (so lookups resolve and log truncation keeps protecting
-        their chains), install the per-component watermark table, and
-        hand the remaining replay to lazy first-touch + background
-        drain workers."""
+        """Register a shell for every discovered context (so lookups
+        resolve and log truncation keeps protecting their chains) and
+        replay each one's frame chain through one watermark table.
+
+        On-demand recovery publishes the table and admits calls now;
+        eager recovery is the same replay with admission held until the
+        drain is done.  Sharded eager recovery under a scheduler session
+        spawns one drain session per stream and lets lazy first-touch
+        admission cover the window until the last drain retires the
+        table."""
         from .incremental import PendingRecovery
 
         process = self.process
@@ -185,49 +158,27 @@ class RecoveryManager:
         pending = PendingRecovery(self, discoveries)
         if pending.pending_count():
             process.pending_recovery = pending
-        faultplane.site_hit(f"recovery.admit_early:{name}", name)
-        if process.pending_recovery is pending:
-            pending.spawn_workers()
-
-    # ------------------------------------------------------------------
-    # sharded eager recovery (config.sharded_logging)
-    # ------------------------------------------------------------------
-    def _recover_shards(
-        self, discoveries: dict[int, _ContextDiscovery]
-    ) -> None:
-        """Replay each stream's shard as an independent drain.
-
-        Replay rides on-demand recovery's per-component watermark table
-        (each component's frame chain comes from its owning stream), so
-        the two extensions compose.  Under the deterministic scheduler
-        one drain session is spawned per shard and admission control
-        covers the window until the last drain retires the table; in the
-        serial runtime the shards replay as parallel clock lanes
-        (:meth:`PendingRecovery.drain_lanes`, shared with the on-demand
-        barrier) — recovery time scales with the largest shard.
-        """
-        from .incremental import PendingRecovery
-
-        process = self.process
-        name = process.name
-        for info in sorted(discoveries.values(), key=lambda d: d.context_id):
-            if info.state is None:
-                self._register_context(info)
-        pending = PendingRecovery(self, discoveries)
+        if process.config.on_demand_recovery:
+            faultplane.site_hit(f"recovery.admit_early:{name}", name)
+            if process.pending_recovery is pending:
+                pending.spawn_workers()
+            return
         faultplane.site_hit(f"recovery.pass2:{name}", name)
-        if pending._session() is not None:
-            if pending.pending_count():
-                process.pending_recovery = pending
+        if len(process.streams) > 1 and pending._session() is not None:
+            if process.pending_recovery is pending:
                 pending.spawn_shard_workers()
             return
-        pending.drain_lanes()
+        pending.drain_all()
         faultplane.site_hit(f"recovery.drained:{name}", name)
+        # Make everything recovery produced (including effects of
+        # live-continued calls) stable before declaring the process
+        # recovered.
         for stream in process.streams:
             stream.log.force()
         faultplane.site_hit(f"recovery.done:{name}", name)
 
     # ------------------------------------------------------------------
-    # pass 1
+    # analysis (pass 1)
     # ------------------------------------------------------------------
     def _pass_one(self) -> dict[int, _ContextDiscovery]:
         process = self.process
@@ -295,7 +246,7 @@ class RecoveryManager:
                         reply_lsn=entry.reply_lsn,
                     )
             # Message, last-call-reply and begin/end checkpoint records
-            # are pass-2 material.
+            # are replay material.
 
     def _materialize_pointers(
         self, discoveries: dict[int, _ContextDiscovery]
@@ -378,71 +329,8 @@ class RecoveryManager:
         return context
 
     # ------------------------------------------------------------------
-    # pass 2
+    # per-component replay (driven by incremental.PendingRecovery)
     # ------------------------------------------------------------------
-    def _pass_two(self, discoveries: dict[int, _ContextDiscovery]) -> None:
-        if not discoveries:
-            return
-        process = self.process
-        start = min(info.start_lsn for info in discoveries.values())
-        skip_before = {
-            info.context_id: info.state_lsn for info in discoveries.values()
-        }
-
-        for lsn, record in process.log.scan(start):
-            context_id = record.context_id
-            threshold = skip_before.get(context_id, NO_LSN)
-            if threshold != NO_LSN and lsn <= threshold:
-                continue  # earlier than the restored state record
-            if isinstance(
-                record,
-                (
-                    BeginCheckpointRecord,
-                    EndCheckpointRecord,
-                    CheckpointContextTableRecord,
-                    CheckpointRemoteTypeRecord,
-                    CheckpointLastCallRecord,
-                    ContextStateRecord,
-                ),
-            ):
-                continue
-            if isinstance(record, CreationRecord):
-                info = discoveries.get(context_id)
-                if info is not None and info.state is not None:
-                    continue  # restored from a later state record
-                self._register_context(
-                    discoveries.get(context_id)
-                    or _ContextDiscovery(
-                        context_id, creation_lsn=lsn, creation=record
-                    )
-                )
-                self._pending[context_id] = _Pending(
-                    order=self._next_order(), creation=record
-                )
-            elif isinstance(record, LastCallReplyRecord):
-                floor = self._reply_floor(0)
-                if floor != NO_LSN and lsn <= floor:
-                    # Below the published checkpoint the checkpoint's
-                    # own last-call record (pass 1) or a state-record
-                    # restore already installed this entry with its
-                    # reply LSN; a duplicate-detection hit reads the
-                    # reply lazily.  Re-decoding the whole tail here
-                    # made recover-twice rebuild the reply cache from
-                    # scratch.
-                    continue
-                # The record was just decoded by the scan; caching the
-                # reply object now means a later duplicate-detection hit
-                # resolves from memory instead of re-reading the log.
-                process.last_calls.seed(
-                    record.caller_key,
-                    record.call_id,
-                    record.context_id,
-                    reply=record.reply,
-                    reply_lsn=lsn,
-                )
-            elif isinstance(record, MessageRecord):
-                self._scan_message(context_id, lsn, record)
-
     def _scan_message(
         self, context_id: int, lsn: int, record: MessageRecord
     ) -> None:
@@ -454,9 +342,7 @@ class RecoveryManager:
             if pending is not None:
                 del self._pending[context_id]
                 self._replay(context_id, pending, final=False)
-            self._pending[context_id] = _Pending(
-                order=self._next_order(), message=message
-            )
+            self._pending[context_id] = _Pending(message=message)
             if message.call_id is not None:
                 client_type = MessageInterceptor.client_type_of(message)
                 if client_type.is_persistent_family:
@@ -494,10 +380,6 @@ class RecoveryManager:
                     reply_lsn=lsn,
                 )
         # OUTGOING_CALL records (baseline only) are regenerated by replay.
-
-    def _next_order(self) -> int:
-        self._order += 1
-        return self._order
 
     # ------------------------------------------------------------------
     # replay
@@ -568,15 +450,6 @@ class RecoveryManager:
             runtime.pop_context()
             context.end_incoming()
         context.incoming_calls_handled = 0
-
-    def _drain_all(self) -> None:
-        """Replay the remaining buffered calls — the last incoming call
-        of every context — in log order."""
-        while self._pending:
-            context_id = min(
-                self._pending, key=lambda cid: self._pending[cid].order
-            )
-            self.drain_context(context_id)
 
     def drain_context(self, context_id: int) -> None:
         """Finish a context's pending replay now.
@@ -650,9 +523,7 @@ def recover_context(context: Context) -> None:
         if restored and lsn <= entry.state_record_lsn:
             continue
         if isinstance(record, CreationRecord) and not restored:
-            manager._pending[context.context_id] = _Pending(
-                order=manager._next_order(), creation=record
-            )
+            manager._pending[context.context_id] = _Pending(creation=record)
         elif isinstance(record, MessageRecord):
             manager._scan_message(context.context_id, lsn, record)
     context.crashed = False

@@ -1,4 +1,4 @@
-"""Process-crash recovery: the Figure 2 matrix and the two-pass replay."""
+"""Process-crash recovery: the Figure 2 matrix and the eager replay."""
 
 import pytest
 

@@ -33,6 +33,7 @@ def golden():
             "bookstore-concurrent-pipelined",
             "bookstore-sharded",
             "bookstore-ondemand-sharded",
+            "bookstore-concurrent-combo",
         )
     }
 
@@ -312,6 +313,35 @@ class TestOnDemandLaneSchedules:
         run_schedule(
             f"{self.FIRST}/recovery.shard.drained:"
             "beta-bookstore-app@store-tier@1",
+            golden,
+        )
+
+
+class TestComboCrashSchedules:
+    """Composite crash points in the concurrent bookstore with on-demand
+    recovery, pipelined commit and sharded logging all on: a crash at a
+    driver-log force or flush, then a second crash inside the driver's
+    background drain worker.  The generic drain worker held no
+    ``(process, crash_count)`` frame, so after the second crash it kept
+    replaying against the dead incarnation while parked in a
+    live-continued call — TRC108 saw sessions touch the driver's
+    context with no happens-before edge, and TRC102 a short reply
+    record with no preceding call record.  Every drain worker now holds
+    the ghost frame for its whole drain."""
+
+    FIRST = "bookstore-concurrent-combo"
+
+    def test_force_crash_then_crash_in_the_drain_worker(self, golden):
+        run_schedule(
+            f"{self.FIRST}:log.force.before:alpha-sweep-driver@18"
+            "/recovery.drain_worker:sweep-driver@2",
+            golden,
+        )
+
+    def test_torn_flush_then_crash_in_the_drain_worker(self, golden):
+        run_schedule(
+            f"{self.FIRST}:log.flush:alpha-sweep-driver@18+1B"
+            "/recovery.drain_worker:sweep-driver@2",
             golden,
         )
 
