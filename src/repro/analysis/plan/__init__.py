@@ -1,13 +1,13 @@
-"""Static shard-placement & logging-strategy planner.
+"""Static shard planner.
 
 Builds a weighted component-interaction graph from the interprocedural
 inference engine (:mod:`repro.analysis.infer`), prices its edges with
-the force-cost model, partitions it into log shards, assigns each
-component its cheapest safe logging strategy, and emits the declarative
-:class:`LogPlan` JSON artifact the future multi-log runtime (ROADMAP
-item 1) implements against.  Diagnostics: PHX014 (suboptimal declared
-strategy), PHX015 (hot cross-shard edge), PHX016 (plan drift), and the
-TRC109 trace invariant (observed forces within plan budgets).
+the force-cost model, partitions it into log shards, and emits the
+declarative :class:`LogPlan` JSON artifact that sharded logging
+executes (one log stream per shard; ``repro.log.sharding``).
+Diagnostics: PHX015 (hot cross-shard edge), PHX016 (plan drift), and
+the TRC109 trace invariant (observed forces within the plan's
+message-logging budgets).
 
 Entry points: ``repro-analyze plan`` and ``make plan``; the committed
 artifact lives in ``plans/apps.logplan.json``.
@@ -20,7 +20,7 @@ from .conformance import (
 )
 from .graph import GraphEdge, GraphNode, InteractionGraph, build_graph
 from .lints import drift_findings, plan_findings
-from .partition import Shard, partition
+from .partition import Shard, message_load, partition
 from .planner import (
     PLAN_VERSION,
     LogPlan,
@@ -29,16 +29,8 @@ from .planner import (
     committed_plans,
     load_plan,
 )
-from .strategy import (
-    ASSIGNABLE,
-    StrategyCost,
-    cheapest_safe,
-    message_load,
-    strategy_costs,
-)
 
 __all__ = [
-    "ASSIGNABLE",
     "GraphEdge",
     "GraphNode",
     "InteractionGraph",
@@ -46,10 +38,8 @@ __all__ = [
     "PLAN_VERSION",
     "PlanConfig",
     "Shard",
-    "StrategyCost",
     "build_graph",
     "build_plan",
-    "cheapest_safe",
     "check_plan_trace",
     "check_runtime_plan",
     "committed_plans",
@@ -59,5 +49,4 @@ __all__ = [
     "partition",
     "plan_findings",
     "span_accounting",
-    "strategy_costs",
 ]

@@ -2,17 +2,12 @@
 
 Reuses TRC106's span machinery (:func:`_top_level_spans` partitions a
 process trace into closed top-level call spans per session) but takes
-its budgets from the *plan* instead of the raw cost model, which adds
-two things:
-
-* strategy awareness — a span's force limit uses the plan's
-  strategy-adjusted ratio and, when the entry component's declared
-  strategy makes the server durable on its own (state/command), the
-  plan's tighter ``entry_budget`` of one forced record;
-* per-shard accounting — each span's observed forces and limit are
-  attributed to the entry component's shard (when the span's method
-  resolves to exactly one shard) and the cumulative totals must stay
-  within the shard budget as well.
+its message-logging budgets from the *committed plan* instead of the
+raw cost model.  Each span's limit is ``entry + cold + ratio ×
+events`` with the plan's per-(process, method) ratio, and each span's
+observed forces and limit are also attributed to the entry component's
+shard (when the span's method resolves to exactly one shard): the
+cumulative totals must stay within the shard budget as well.
 
 Violations carry a replayable trace reference: the span's entry method,
 its anchor LSN and its session, enough to re-locate the exact span in
@@ -39,7 +34,7 @@ def span_accounting(
     """Per-span budget accounting for one process trace: for every
     closed top-level span whose entry method the plan budgets, the
     observed force count next to the plan's limit.  The TRC109 check
-    and the predicted-vs-observed bench table both consume this."""
+    and the observed-vs-budget bench table both consume this."""
     budgets = {
         (entry["process"], entry["method"]): entry
         for entry in plan.span_budgets
@@ -57,9 +52,9 @@ def span_accounting(
         if entry_event.replaying:
             continue  # recovery reconstruction, not live traffic
         if not entry_event.optimized:
-            # Algorithm 1 forces every message; the plan's strategy
-            # budgets only constrain the optimized system
-            ratio, cold, entry_budget = 1.0, 0, None
+            # Algorithm 1 forces every message; the plan's ratios only
+            # constrain the optimized system
+            ratio, cold = 1.0, 0
         else:
             ratio = (
                 budget["ratio_ro_on"]
@@ -75,12 +70,7 @@ def span_accounting(
                 and event.peer_type is None
                 and event.forced
             )
-            entry_budget = budget["entry_budget"]
-        entry_limit = (
-            entry_budget
-            if entry_budget is not None
-            else _entry_force_bound(entry_event)
-        )
+        entry_limit = _entry_force_bound(entry_event)
         limit = entry_limit + cold + ratio * max(
             0, len(events) - 2 - 2 * cold
         )
@@ -128,8 +118,8 @@ def check_plan_trace(
                 f"{process_name} ({session}, entered at LSN {anchor}): "
                 f"{observed} forces over {span['events']} events "
                 f"exceeds the plan budget {limit:g} (entry budget "
-                f"{span['entry_limit']:g}, ratio {span['ratio']:g}, "
-                f"strategy of {'/'.join(span['classes'])} per plan)",
+                f"{span['entry_limit']:g}, ratio {span['ratio']:g} "
+                f"for {'/'.join(span['classes'])} per plan)",
             ))
         if len(span["shards"]) == 1:
             totals = shard_totals.setdefault(

@@ -1,15 +1,12 @@
-"""Planner diagnostics: PHX014, PHX015, PHX016.
+"""Planner diagnostics: PHX015, PHX016.
 
-* **PHX014** — a component's *declared* strategy (a plan override)
-  disagrees with the statically cheapest safe strategy; the finding
-  prices the difference from the plan's per-strategy cost table.
 * **PHX015** — a cross-shard edge between co-shardable components
   (same process signature) whose priced force traffic exceeds the
   plan's cut threshold: the partition is paying avoidable cross-log
   traffic.
 * **PHX016** — plan drift: the committed plan disagrees with what the
   planner derives from the current ``apps/*/deploy`` wiring (component
-  set, process placement, shard membership, or strategy).
+  set, process placement, shard membership, or component type).
 """
 
 from __future__ import annotations
@@ -19,45 +16,8 @@ from .planner import LogPlan
 
 
 def plan_findings(plan: LogPlan) -> list[Finding]:
-    """PHX014 + PHX015 over one plan."""
+    """PHX015 over one plan."""
     out: list[Finding] = []
-    for entry in plan.components:
-        if not entry["override"]:
-            continue
-        declared = entry["strategy"]
-        choice = entry["planner_strategy"]
-        declared_cost = entry["costs"].get(declared)
-        choice_cost = entry["costs"][choice]
-        if declared_cost is None:
-            out.append(Finding(
-                entry["path"], entry["line"], 0, "PHX014",
-                f"declared logging strategy '{declared}' for "
-                f"{entry['name']} is statically unsafe (re-execution "
-                "could escape the shard's recovery scope); the "
-                f"cheapest safe strategy is '{choice}' "
-                f"(~{choice_cost['forces']:g} forces per sweep). "
-                f"Fix: drop the override or assign "
-                f"--force-strategy {entry['name']}={choice}",
-            ))
-            continue
-        if declared == choice:
-            continue
-        saved_forces = declared_cost["forces"] - choice_cost["forces"]
-        saved_records = (
-            declared_cost["records"] - choice_cost["records"]
-        )
-        out.append(Finding(
-            entry["path"], entry["line"], 0, "PHX014",
-            f"declared logging strategy '{declared}' for "
-            f"{entry['name']} is statically suboptimal: '{choice}' is "
-            f"safe and saves ~{saved_forces:g} forces "
-            f"({saved_records:+g} records) per sweep "
-            f"(declared {declared_cost['forces']:g}f/"
-            f"{declared_cost['records']:g}r vs planned "
-            f"{choice_cost['forces']:g}f/{choice_cost['records']:g}r). "
-            f"Fix: assign --force-strategy {entry['name']}={choice}",
-        ))
-
     threshold = plan.config.cut_threshold
     by_name = {entry["name"]: entry for entry in plan.components}
     for edge in plan.edges:
@@ -134,7 +94,6 @@ def drift_findings(
         for key, label in (
             ("processes", "process placement"),
             ("shard", "shard"),
-            ("strategy", "logging strategy"),
             ("type", "component type"),
         ):
             if fresh_entry[key] != committed_entry[key]:

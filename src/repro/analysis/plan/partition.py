@@ -26,12 +26,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import InteractionGraph
-from .strategy import message_load
+from .graph import GraphNode, InteractionGraph
 
 #: weight of load imbalance against cut weight in the greedy objective
 _BALANCE = 0.5
 _REFINE_SWEEPS = 8
+
+
+def message_load(graph: InteractionGraph, node: GraphNode) -> float:
+    """The node's force load per sweep under message logging (Algorithms
+    2/3: its entry forces, the server side of every incoming edge and
+    the client side of its fan-out, less the Section 3.5 discount) —
+    the partitioner's balancing weight."""
+    if node.ctype in ("functional", "read_only", "subordinate"):
+        return 0.0
+    out_client = (
+        sum(e.client_forces for e in graph.out_edges(node.name))
+        + node.unknown_out_forces
+    )
+    return (
+        node.entry_forces
+        + sum(e.server_forces for e in graph.in_edges(node.name))
+        + max(0.0, out_client - node.multicall_saved)
+    )
 
 
 @dataclass

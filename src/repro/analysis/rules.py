@@ -121,19 +121,9 @@ _RULES = [
         "Section 2.3 (crash points are the interesting schedule "
         "points; exploration must reach every durability boundary)",
     ),
-    # PHX014-016 come from the shard/strategy planner
-    # (repro-analyze plan), not the per-file lint pass.
-    Rule(
-        "PHX014",
-        "declared logging strategy is statically suboptimal",
-        "assign the strategy the finding names (the message prices the "
-        "per-sweep force saving), or keep the override and accept the "
-        "cost: the planner picks the cheapest strategy the safety "
-        "lattice allows",
-        "Section 3 cost model + Adaptive Logging (PAPERS.md): the "
-        "priced per-component strategy choice beats any single global "
-        "strategy",
-    ),
+    # PHX015-016 come from the shard planner (repro-analyze plan), not
+    # the per-file lint pass.  The ID between PHX013 and PHX015 is
+    # retired and never reused.
     Rule(
         "PHX015",
         "hot cross-shard edge exceeds the shard-cut threshold",

@@ -65,7 +65,7 @@ INVARIANTS: dict[str, str] = {
     "TRC108": "no two sessions touch one context's state without an "
               "intervening happens-before edge",
     "TRC109": "observed per-span and per-shard force counts stay "
-              "within the committed LogPlan's strategy budgets",
+              "within the committed LogPlan's message-logging budgets",
 }
 
 

@@ -92,14 +92,12 @@ _DISCUSSION = """
 - **Multi-call** (Section 3.5) — implemented here although the paper's
   prototype did not: fan-out forces collapse from k+1 to a constant 2,
   the paper's §5.5.2 prediction for the PriceGrabber.
-- **Plan conformance** (extension) — the static shard/strategy planner
-  (`repro-analyze plan`, docs/internals.md section 15) prices every
-  component's logging strategy; here its span budgets meet real
-  traces.  Observed forces sit exactly at (backend) or inside (desk,
-  bookstore) the message-strategy budget, and re-budgeting the same
-  spans under whole-app state/command assignment shows the force
-  headroom a server-durable runtime would realize — the saving PHX014
-  reports per component, measured against live traffic.
+- **Plan conformance** (extension) — the static shard planner
+  (`repro-analyze plan`, docs/internals.md section 15) commits a
+  message-logging force budget per entry span; here those budgets
+  meet real traces.  Observed forces sit exactly at (backend, bookstore)
+  or inside (desk) the budget, which TRC109 enforces on every test
+  run.
 - **Static type seeding** (extension) — Section 3.4 learns server
   types from reply attachments, so a process's first call to each
   server pays conservative Algorithm 2/3 costs.  Warm-starting the

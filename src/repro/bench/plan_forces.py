@@ -1,23 +1,15 @@
-"""Predicted-vs-observed forces under the LogPlan's strategy table.
+"""Observed forces vs the LogPlan's message-logging budgets.
 
 For the bookstore and orderflow workloads, every closed top-level call
-span is priced by the plan's TRC109 budget under three whole-app
-strategy assignments:
+span of a live run is priced by the committed plan's TRC109 budget.
+The observed force counts come from the recorded ProtocolTraces, so
+the budget is a bound the run must respect; the table shows how much
+of it each process uses.
 
-* **message** — the committed plan (what today's runtime implements);
-* **state** — every persistent component declared context/state-logged;
-* **command** — every persistent component declared command-logged.
-
-The observed force counts come from the recorded ProtocolTraces of a
-live run, so the *message* column is a bound the run must respect
-(TRC109), and the *state*/*command* columns are the planner's predicted
-budgets for the same traffic had the runtime implemented those
-strategies — the quantified saving PHX014 prices statically.
-
-``benchmarks/bench_plan_forces.py`` asserts the shape (observed within
-the message budget, server-durable budgets no looser); the full table
-lands in EXPERIMENTS.md via ``python -m repro.bench`` (sessions scale
-up under ``REPRO_BENCH_FULL=1``).
+``benchmarks/bench_plan_forces.py`` asserts the bound (observed within
+the message budget); the full table lands in EXPERIMENTS.md via
+``python -m repro.bench`` (sessions scale up under
+``REPRO_BENCH_FULL=1``).
 """
 
 from __future__ import annotations
@@ -25,38 +17,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from ..analysis.model import ProgramModel, iter_py_files
-from ..analysis.plan import (
-    PlanConfig,
-    build_plan,
-    load_plan,
-    span_accounting,
-)
+from ..analysis.plan import load_plan, span_accounting
 from ..apps.bookstore import BookBuyer, OptimizationLevel, deploy_bookstore
 from ..apps.orderflow import deploy_orderflow
 from .reporting import Cell, ExperimentTable
 
-_APPS = Path(__file__).resolve().parents[1] / "apps"
 _PLAN = Path(__file__).resolve().parents[3] / "plans" / "apps.logplan.json"
-
-STRATEGY_ASSIGNMENTS = ("message", "state", "command")
-
-
-def _plans() -> dict[str, object]:
-    """The committed plan plus whole-app state/command reassignments."""
-    committed = load_plan(_PLAN)
-    model = ProgramModel.from_paths(list(iter_py_files([_APPS])))
-    persistent = [
-        entry["name"]
-        for entry in committed.components
-        if entry["type"] == "persistent"
-    ]
-    plans = {"message": committed}
-    for strategy in ("state", "command"):
-        plans[strategy] = build_plan(model, PlanConfig(
-            overrides={name: strategy for name in persistent},
-        ))
-    return plans
 
 
 def _run_bookstore(sessions: int):
@@ -88,15 +54,14 @@ WORKLOADS = (
 def plan_forces_comparison(sessions: int | None = None) -> ExperimentTable:
     if sessions is None:
         sessions = 8 if os.environ.get("REPRO_BENCH_FULL") else 2
-    plans = _plans()
+    plan = load_plan(_PLAN)
     table = ExperimentTable(
         key="plan_forces",
         title=(
-            "Plan conformance: observed forces vs per-strategy budgets "
+            "Plan conformance: observed forces vs message budgets "
             f"({sessions} sessions)"
         ),
-        columns=["observed", "message budget", "state budget",
-                 "command budget"],
+        columns=["observed", "message budget"],
         precision=0,
     )
     for app_name, run in WORKLOADS:
@@ -107,31 +72,20 @@ def plan_forces_comparison(sessions: int | None = None) -> ExperimentTable:
             trace = getattr(process, "protocol_trace", None)
             if trace is None:
                 continue
-            totals = {}
-            observed = None
-            for strategy in STRATEGY_ASSIGNMENTS:
-                spans = span_accounting(
-                    trace, plans[strategy], process.name
-                )
-                totals[strategy] = sum(s["limit"] for s in spans)
-                if observed is None:
-                    observed = sum(s["observed"] for s in spans)
-            if not totals or observed is None:
-                continue
-            if all(total == 0 for total in totals.values()):
+            spans = span_accounting(trace, plan, process.name)
+            budget = sum(s["limit"] for s in spans)
+            if budget == 0:
                 continue  # no planned entry spans on this process
+            observed = sum(s["observed"] for s in spans)
             table.add_row(
                 f"{app_name}: {process.name}",
-                Cell(observed, totals["message"]),
-                Cell(totals["message"]),
-                Cell(totals["state"]),
-                Cell(totals["command"]),
+                Cell(observed, budget),
+                Cell(budget),
             )
     table.notes.append(
         "'paper' in the observed column is the message budget the run "
-        "must stay within (TRC109); the state/command columns price the "
-        "same spans under whole-app strategy reassignment — the "
-        "force reduction a server-durable runtime would realize, as "
-        "PHX014 reports per component."
+        "must stay within (TRC109): the committed plan's per-span "
+        "message-logging bound, summed over the process's planned "
+        "entry spans."
     )
     return table

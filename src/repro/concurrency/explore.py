@@ -220,7 +220,7 @@ def run_ledger_pipelined(
     enter the explored space."""
     return _run_ledger(
         RuntimeConfig.optimized(
-            group_commit=False,
+            group_commit=True,
             pipelined_commit=True,
             group_commit_window_ms=0.0,
         ),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from ..errors import ConfigurationError
+
 
 @dataclass(frozen=True)
 class CheckpointConfig:
@@ -103,7 +105,8 @@ class RuntimeConfig:
     # in-flight write already covered release without waiting for their
     # own window.  Off by default: with the flag off every commit point
     # is the whole-log ``end_lsn`` and the scheduler's output is
-    # byte-identical to group commit alone.
+    # byte-identical to group commit alone.  It pipelines group-commit
+    # batches, so it requires ``group_commit``.
     pipelined_commit: bool = False
 
     # On-demand recovery (extension; after Sauer & Härder's instant
@@ -130,6 +133,13 @@ class RuntimeConfig:
     # Off by default: with the flag off a process keeps exactly its one
     # legacy log and every byte it writes is identical.
     sharded_logging: bool = False
+
+    def __post_init__(self) -> None:
+        if self.pipelined_commit and not self.group_commit:
+            raise ConfigurationError(
+                "pipelined_commit pipelines group-commit batches and "
+                "requires group_commit=True"
+            )
 
     @classmethod
     def baseline(cls, **overrides: object) -> "RuntimeConfig":

@@ -173,9 +173,7 @@ class ForceCoalescer:
 
     def _group_scheduler(self):
         process = self.process
-        if process is None or not (
-            process.config.group_commit or process.config.pipelined_commit
-        ):
+        if process is None or not process.config.group_commit:
             return None
         if process.state is not ProcessState.RUNNING:
             # Recovery's own forces never batch: a window wait inside

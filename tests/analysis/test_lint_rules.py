@@ -27,9 +27,9 @@ ALL_RULES = sorted(RULES)
 LINT_RULES = [f"PHX{n:03d}" for n in range(1, 8)]
 INFER_RULES = ["PHX010", "PHX011", "PHX012"]
 SITES_RULES = ["PHX013"]
-#: rules fired by the shard/strategy planner on whole-app wiring — no
+#: rules fired by the shard planner on whole-app wiring — no
 #: single-file fixture applies; covered in tests/analysis/test_plan.py
-PLAN_RULES = ["PHX014", "PHX015", "PHX016"]
+PLAN_RULES = ["PHX015", "PHX016"]
 
 
 def fixture_for(rule_id: str) -> Path:

@@ -1,13 +1,13 @@
-"""The static shard-placement & logging-strategy planner.
+"""The static shard planner.
 
 Covers the whole pipeline: graph construction from the deploy wiring,
-deterministic partitioning, per-component cheapest-safe strategy
-assignment, the canonical ``LogPlan`` artifact (byte-identical across
-builds, pinned against the committed ``plans/apps.logplan.json``), the
-PHX014/PHX015/PHX016 diagnostics, the TRC109 trace invariant in both
-directions (golden workloads pass; a deliberately mis-declared
-strategy trips it with a replayable trace reference), and the
-``repro-analyze plan`` command line.
+deterministic partitioning, the canonical ``LogPlan`` artifact
+(byte-identical across builds, pinned against the committed
+``plans/apps.logplan.json``), the PHX015/PHX016 diagnostics, the TRC109
+trace invariant in both directions (golden workloads pass; a plan
+budget tightened below the message-logging forces trips it with a
+replayable trace reference), and the ``repro-analyze plan`` command
+line.
 """
 
 from __future__ import annotations
@@ -163,75 +163,6 @@ class TestPartition:
         assert first.dumps() == second.dumps()
 
 
-class TestStrategyAssignment:
-    def test_types_map_to_the_safety_lattice(self, plan):
-        for entry in plan.components:
-            if entry["type"] in ("functional", "read_only"):
-                assert entry["strategy"] == "none"
-            elif entry["type"] == "subordinate":
-                assert entry["strategy"] == "inlined"
-            else:
-                assert entry["strategy"] in (
-                    "message", "state", "command",
-                )
-                assert entry["safe"] is True
-
-    def test_high_fan_in_ledger_plans_command(self, plan):
-        # CustomerLedger: every caller is internal, so a server-durable
-        # strategy spares the callers' pre-send forces; unit command
-        # records beat whole-state snapshots on record volume
-        ledger = plan.component("CustomerLedger")
-        assert ledger["planner_strategy"] == "command"
-        costs = ledger["costs"]
-        assert costs["command"]["forces"] < costs["message"]["forces"]
-        assert costs["command"]["records"] < costs["state"]["records"]
-
-    def test_budgets_price_the_running_system_not_the_plan(self, plan):
-        # no override: the TRC109 budget prices message logging (what
-        # the runtime implements today) even when the planner recommends
-        # a cheaper strategy -- so golden traces conform
-        for entry in plan.components:
-            assert entry["override"] is False
-            if entry["type"] == "persistent":
-                assert entry["budget_strategy"] == "message"
-
-    def test_override_is_taken_at_its_word(self, model):
-        plan = build_plan(
-            model, PlanConfig(overrides={"Inventory": "state"})
-        )
-        entry = plan.component("Inventory")
-        assert entry["override"] is True
-        assert entry["strategy"] == "state"
-        assert entry["budget_strategy"] == "state"
-
-
-class TestPHX014:
-    def test_suboptimal_declaration_is_priced(self, model):
-        plan = build_plan(
-            model, PlanConfig(overrides={"CustomerLedger": "message"})
-        )
-        findings = [
-            f for f in plan_findings(plan) if f.rule_id == "PHX014"
-        ]
-        assert len(findings) == 1
-        message = findings[0].message
-        assert "'message' for CustomerLedger is statically suboptimal" in (
-            message
-        )
-        assert "saves ~5 forces" in message
-        assert "Fix: assign --force-strategy CustomerLedger=command" in (
-            message
-        )
-        assert findings[0].path.endswith("components.py")
-        assert findings[0].line > 0
-
-    def test_agreeing_override_is_silent(self, model):
-        plan = build_plan(
-            model, PlanConfig(overrides={"CustomerLedger": "command"})
-        )
-        assert plan_findings(plan) == []
-
-
 class TestPHX015:
     def test_hot_cut_edge_fires_above_threshold(self, model):
         plan = build_plan(
@@ -252,17 +183,16 @@ class TestPHX015:
 
 
 class TestPHX016:
-    def test_strategy_and_shard_drift(self, plan, committed):
+    def test_shard_drift(self, plan, committed):
         tampered = load_plan(PLAN_PATH)
         entry = tampered.component("OrderDesk")
-        entry["strategy"] = "state"
         entry["shard"] = "elsewhere"
         findings = drift_findings(plan, tampered, str(PLAN_PATH))
-        assert [f.rule_id for f in findings] == ["PHX016", "PHX016"]
-        messages = " ".join(f.message for f in findings)
-        assert "plan drift for OrderDesk" in messages
-        assert "logging strategy" in messages
-        assert "shard" in messages
+        assert [f.rule_id for f in findings] == ["PHX016"]
+        message = findings[0].message
+        assert "plan drift for OrderDesk" in message
+        assert "shard 'orderflow-desk'" in message
+        assert "'elsewhere'" in message
 
     def test_component_set_drift(self, plan):
         tampered = load_plan(PLAN_PATH)
@@ -324,19 +254,20 @@ class TestTRC109Golden:
 
 
 class TestTRC109Trips:
-    def test_misdeclared_strategy_trips_with_trace_reference(
-        self, model
-    ):
-        # declaring the backend components state-logged zeroes the
-        # desk's span ratio (its callees would be server-durable); the
-        # real runtime still message-logs, so observed forces exceed
-        # the tightened budget
-        bad = build_plan(model, PlanConfig(overrides={
-            "Inventory": "state", "CustomerLedger": "state",
-        }))
+    def test_tightened_budget_trips_with_trace_reference(self):
+        # zeroing the desk's place_order ratio prices its fan-out to
+        # the backend as force-free; the runtime message-logs every
+        # persistent call, so observed forces exceed the budget
+        bad = load_plan(PLAN_PATH)
+        (budget,) = [
+            entry for entry in bad.span_budgets
+            if (entry["process"], entry["method"])
+            == ("orderflow-desk", "place_order")
+        ]
+        budget["ratio_ro_on"] = budget["ratio_ro_off"] = 0.0
         app = run_orderflow()
         problems = check_runtime_plan(app.runtime, bad)
-        assert problems, "mis-declared strategy must trip TRC109"
+        assert problems, "a budget below the observed forces must trip"
         assert all(
             violation.invariant == "TRC109"
             for __, violation in problems
@@ -379,18 +310,19 @@ class TestCLI:
         assert main(["plan"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_override_trips_check(self, capsys):
-        assert main([
-            "plan", "--check",
-            "--force-strategy", "CustomerLedger=message",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "PHX014" in out
-
-    def test_bad_override_is_usage_error(self, capsys):
-        assert main([
-            "plan", "--force-strategy", "CustomerLedger=blockchain",
-        ]) == 2
+    def test_stale_plan_fails_the_check(self, tmp_path, capsys):
+        stale = tmp_path / "apps.logplan.json"
+        # a hand-edited shard load: no drift finding, but the bytes no
+        # longer match what the planner derives
+        text = PLAN_PATH.read_text()
+        assert '"force_load": 56.0' in text
+        stale.write_text(
+            text.replace('"force_load": 56.0', '"force_load": 40.0')
+        )
+        assert main(["plan", "--check", "--against", str(stale)]) == 1
+        captured = capsys.readouterr()
+        assert "is stale" in captured.err
+        assert "matches the wiring" not in captured.out
 
     def test_text_format_summarizes_shards(self, capsys):
         assert main(["plan", "--format", "text"]) == 0

@@ -142,7 +142,7 @@ class TestWatermarksDieWithTheProcess:
         surviving entry above the boundary would gate a future send
         against durability that no longer exists (the crash wiped those
         bytes and their LSNs will be reused)."""
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        runtime, process, counters = _deploy(1, group_commit=True, pipelined_commit=True)
         scheduler = DeterministicScheduler(runtime, seed=0)
         scheduler.run([_persistent_session(counters[0], 2)])
         name = process.log.process_name
@@ -160,7 +160,7 @@ class TestWatermarksDieWithTheProcess:
         """``run()`` rebuilds the per-session maps and re-captures the
         serial baseline, so watermarks poisoned between runs (e.g. by a
         crash whose process never ran again) cannot leak forward."""
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        runtime, process, counters = _deploy(1, group_commit=True, pipelined_commit=True)
         scheduler = DeterministicScheduler(runtime, seed=0)
         scheduler.run([_persistent_session(counters[0], 1)])
         name = process.log.process_name
@@ -182,7 +182,7 @@ class TestWatermarksDieWithTheProcess:
         recover again: stable logs and component state must be
         byte-identical across the two recoveries — the watermark
         rebuild leaves nothing schedule-dependent behind."""
-        runtime, process, counters = _deploy(3, pipelined_commit=True)
+        runtime, process, counters = _deploy(3, group_commit=True, pipelined_commit=True)
         scheduler = DeterministicScheduler(runtime, seed=4)
         scheduler.run([_persistent_session(c, 3) for c in counters])
 
@@ -207,7 +207,9 @@ class TestSerialFallback:
         ``end_lsn`` even with the flag on (and mocked processes without
         a runtime must not trip the lookup)."""
         policy = LoggingPolicy(
-            RuntimeConfig.optimized(pipelined_commit=True)
+            RuntimeConfig.optimized(
+                group_commit=True, pipelined_commit=True
+            )
         )
         context = SimpleNamespace(
             process=SimpleNamespace(log=SimpleNamespace(end_lsn=42))
@@ -215,6 +217,6 @@ class TestSerialFallback:
         assert policy._commit_point(context) == 42
 
     def test_causal_commit_lsn_is_none_outside_a_run(self):
-        runtime, process, counters = _deploy(1, pipelined_commit=True)
+        runtime, process, counters = _deploy(1, group_commit=True, pipelined_commit=True)
         scheduler = DeterministicScheduler(runtime, seed=0)
         assert scheduler.causal_commit_lsn(process) is None

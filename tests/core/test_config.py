@@ -1,8 +1,10 @@
 """Runtime configuration switches."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import CheckpointConfig, RuntimeConfig
+from repro import CheckpointConfig, ConfigurationError, RuntimeConfig
 
 
 class TestRuntimeConfig:
@@ -30,6 +32,19 @@ class TestRuntimeConfig:
         config = RuntimeConfig.optimized()
         other = config.with_overrides(auto_recover=False)
         assert config.auto_recover and not other.auto_recover
+
+    def test_pipelined_commit_requires_group_commit(self):
+        with pytest.raises(ConfigurationError, match="group_commit"):
+            RuntimeConfig.optimized(pipelined_commit=True)
+        with pytest.raises(ConfigurationError):
+            RuntimeConfig(group_commit=False, pipelined_commit=True)
+        both = RuntimeConfig.optimized(
+            group_commit=True, pipelined_commit=True
+        )
+        with pytest.raises(ConfigurationError):
+            both.with_overrides(group_commit=False)
+        with pytest.raises(ConfigurationError):
+            replace(both, group_commit=False)
 
     def test_frozen(self):
         with pytest.raises(Exception):
